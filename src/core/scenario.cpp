@@ -1,15 +1,19 @@
 #include "core/scenario.h"
 
+#include <cmath>
+
 namespace edb::core {
 
 Expected<bool> AppRequirements::validate() const {
-  if (e_budget <= 0.0) {
+  // Written so NaN fails too: requests enter here, and a NaN bound would
+  // otherwise pass every `<= 0` test and reach the solver's assertions.
+  if (!(std::isfinite(e_budget) && e_budget > 0.0)) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "energy budget must be positive");
+                      "energy budget must be positive and finite");
   }
-  if (l_max <= 0.0) {
+  if (!(std::isfinite(l_max) && l_max > 0.0)) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "delay bound must be positive");
+                      "delay bound must be positive and finite");
   }
   return true;
 }

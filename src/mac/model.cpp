@@ -1,6 +1,7 @@
 #include "mac/model.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/math.h"
 
@@ -59,13 +60,14 @@ Expected<bool> ModelContext::validate() const {
   if (auto r = radio.validate(); !r.ok()) return r;
   if (auto r = packet.validate(); !r.ok()) return r;
   if (auto r = ring.validate(); !r.ok()) return r;
-  if (fs <= 0.0) {
+  // Written so NaN fails too (see core::AppRequirements::validate).
+  if (!(std::isfinite(fs) && fs > 0.0)) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "sampling rate must be positive");
+                      "sampling rate must be positive and finite");
   }
-  if (energy_epoch <= 0.0) {
+  if (!(std::isfinite(energy_epoch) && energy_epoch > 0.0)) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "energy epoch must be positive");
+                      "energy epoch must be positive and finite");
   }
   // The arrival-shape knobs must form a valid per-source process (the
   // kV2Queueing term takes its interval moments from it).

@@ -219,7 +219,7 @@ struct TuningServer::Impl {
 
       std::vector<service::TuningQuery> qs;
       qs.reserve(batch.size());
-      for (const ServeJob& j : batch) qs.push_back(j.query);
+      for (ServeJob& j : batch) qs.push_back(std::move(j.query));
       auto results = core.serve(qs);
 
       const auto now = std::chrono::steady_clock::now();
@@ -271,7 +271,10 @@ struct TuningServer::Impl {
         }
         const auto it = w.conns.find(fd);
         if (it == w.conns.end()) continue;  // closed earlier this round
-        handle_io(w, it->second, events[i].events);
+        // A local owner for the whole event: close_conn erases the map
+        // entry, and the handlers keep using the connection after that.
+        const ConnPtr conn = it->second;
+        handle_io(w, conn, events[i].events);
       }
       if (woken) {
         drain_inboxes(w);
@@ -371,7 +374,7 @@ struct TuningServer::Impl {
         // close from flush_output once everything drained.
         conn->peer_eof = true;
         epoll_event ev{};
-        ev.events = conn->want_write ? EPOLLOUT : 0;
+        ev.events = conn->want_write ? EPOLLOUT : 0u;
         ev.data.fd = conn->fd;
         ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
         flush_output(w, conn);
@@ -578,7 +581,7 @@ struct TuningServer::Impl {
     conn->close_after_flush = true;
     // Stop reading: nothing after a protocol violation is trusted.
     epoll_event ev{};
-    ev.events = conn->want_write ? EPOLLOUT : 0;
+    ev.events = conn->want_write ? EPOLLOUT : 0u;
     ev.data.fd = conn->fd;
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
     flush_output(w, conn);

@@ -36,7 +36,7 @@ std::optional<ProtocolOutcome> ShardedResultCache::get(const QueryKey& key) {
   if (capacity_ == 0) return std::nullopt;
   Shard& s = shard_of(key);
   std::lock_guard<std::mutex> lock(s.mutex);
-  const auto it = s.index.find(key.canonical);
+  const auto it = s.index.find(key.ref());
   if (it == s.index.end()) {
     misses_.add(1);
     return std::nullopt;
@@ -47,20 +47,21 @@ std::optional<ProtocolOutcome> ShardedResultCache::get(const QueryKey& key) {
   return it->second->value;
 }
 
-void ShardedResultCache::put(const QueryKey& key, ProtocolOutcome value) {
+void ShardedResultCache::put(QueryKey key, ProtocolOutcome value) {
   if (capacity_ == 0) return;
   Shard& s = shard_of(key);
   std::lock_guard<std::mutex> lock(s.mutex);
-  const auto it = s.index.find(key.canonical);
+  const auto it = s.index.find(key.ref());
   if (it != s.index.end()) {
     it->second->value = std::move(value);
     s.lru.splice(s.lru.begin(), s.lru, it->second);
     return;
   }
-  s.lru.push_front(Entry{key.canonical, std::move(value)});
-  s.index.emplace(key.canonical, s.lru.begin());
+  // List nodes never move, so the index may view the entry's own string.
+  s.lru.push_front(Entry{std::move(key), std::move(value)});
+  s.index.emplace(s.lru.front().key.ref(), s.lru.begin());
   while (s.lru.size() > s.capacity) {
-    s.index.erase(s.lru.back().canonical);
+    s.index.erase(s.lru.back().key.ref());
     s.lru.pop_back();
     evictions_.add(1);
   }

@@ -3,6 +3,10 @@
 // Keys are canonical QueryKeys (service/key.h); the 64-bit hash picks one
 // of N shards, each shard is an independent LRU list + hash map under its
 // own mutex, so concurrent readers on different shards never contend.
+// Each entry stores its canonical string once: the shard's index holds a
+// KeyRef (precomputed hash + a view of that string), so a probe never
+// re-hashes the ~660 key bytes and a 64-bit hash collision still misses
+// unless the canonical bytes are equal.
 // Deterministically infeasible outcomes are cached too ("negative
 // caching"): proving infeasibility costs a full solve, and a scenario
 // that cannot be served stays that way until the inputs change.  The
@@ -94,8 +98,9 @@ class ShardedResultCache {
   // Copies the entry out and marks it most recently used.
   std::optional<ProtocolOutcome> get(const QueryKey& key);
   // Inserts or refreshes; evicts the shard's least recently used entries
-  // over capacity.
-  void put(const QueryKey& key, ProtocolOutcome value);
+  // over capacity.  Pass an expiring key by rvalue to store it without a
+  // copy.
+  void put(QueryKey key, ProtocolOutcome value);
 
   CacheStats stats() const;
   std::size_t size() const;
@@ -103,13 +108,14 @@ class ShardedResultCache {
 
  private:
   struct Entry {
-    std::string canonical;
+    QueryKey key;  // the index's KeyRef views key.canonical
     ProtocolOutcome value;
   };
   struct Shard {
     mutable std::mutex mutex;
     std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    std::unordered_map<KeyRef, std::list<Entry>::iterator, KeyRef::Hash>
+        index;
     std::size_t capacity = 0;
   };
 

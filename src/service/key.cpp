@@ -1,38 +1,126 @@
 #include "service/key.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <cstring>
 
 #include "mac/registry.h"
 
 namespace edb::service {
 namespace {
 
-// Accumulates "name=token;" pairs and finishes into a QueryKey.
+// Powers of ten that are exact doubles.
+constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                             1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                             1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+// A quantized token is at most "-d.ddddddddde-ddd".
+constexpr std::size_t kMaxToken = 24;
+
+char* put2(char* p, std::uint32_t two_digits) {
+  p[0] = static_cast<char>('0' + two_digits / 10);
+  p[1] = static_cast<char>('0' + two_digits % 10);
+  return p + 2;
+}
+
+// The "%.9e" token of `v` for the magnitudes deployments are made of,
+// written to `out`; nullptr when this shortcut cannot prove its answer
+// and the caller must take the exact to_chars path.
+//
+// With e the decimal exponent, x = |v| * 10^(9 - e) lies in [1e9, 1e10)
+// and the ten significant digits are x rounded to an integer.  Scaling by
+// an exact power of ten rounds once, so x is within half an ulp (< 1e-6)
+// of the exact product; rounding x is therefore the exact rounding unless
+// x's fraction is within 1e-4 of one half — near-ties fall back, and a
+// printf-style tie rule is never needed here.
+char* quantize_fast(double v, char* out) {
+  const double a = v < 0 ? -v : v;
+  if (!(a >= 1e-12 && a < 1e22)) return nullptr;  // also 0, NaN, inf
+  std::uint64_t bits;
+  std::memcpy(&bits, &a, sizeof bits);
+  const int e2 = static_cast<int>(bits >> 52) - 1023;  // a is normal
+  // floor(e2 * log10(2)): the decimal exponent or one below it.
+  int e = (e2 * 78913) >> 18;
+  const auto scaled = [a](int exp10) {
+    const int p = 9 - exp10;
+    return p >= 0 ? a * kPow10[p] : a / kPow10[-p];
+  };
+  double x = scaled(e);
+  if (x >= 1e10) x = scaled(++e);
+  if (!(x >= 1e9 && x < 1e10)) return nullptr;
+  std::int64_t n = static_cast<std::int64_t>(x);
+  const double frac = x - static_cast<double>(n);
+  if (frac > 0.5 - 1e-4 && frac < 0.5 + 1e-4) return nullptr;
+  if (frac > 0.5) ++n;
+  if (n == 10000000000LL) {  // rounded up into the next decade
+    n = 1000000000LL;
+    ++e;
+  }
+  char* p = out;
+  if (v < 0) *p++ = '-';
+  const auto lead = static_cast<std::uint32_t>(n / 1000000000LL);
+  const auto rest = static_cast<std::uint32_t>(n - lead * 1000000000LL);
+  *p++ = static_cast<char>('0' + lead);
+  *p++ = '.';
+  // The nine fraction digits as 1 + 4 x 2, from independent quotients.
+  const std::uint32_t hi = rest / 10000;  // five digits
+  const std::uint32_t lo = rest % 10000;  // four digits
+  *p++ = static_cast<char>('0' + hi / 10000);
+  p = put2(p, hi / 100 % 100);
+  p = put2(p, hi % 100);
+  p = put2(p, lo / 100);
+  p = put2(p, lo % 100);
+  *p++ = 'e';
+  *p++ = e < 0 ? '-' : '+';
+  return put2(p, static_cast<std::uint32_t>(e < 0 ? -e : e));  // e <= 22
+}
+
+// The quantized token of `v` into `out` (room for kMaxToken); returns its
+// end.  to_chars is locale-independent and prints exactly what "%.9e"
+// does.
+char* quantize(double v, char* out) {
+  if (v == 0.0) v = 0.0;  // fold -0 into +0
+  if (char* end = quantize_fast(v, out)) return end;
+  return std::to_chars(out, out + kMaxToken, v,
+                       std::chars_format::scientific, 9)
+      .ptr;
+}
+
+// Accumulates the "name=token;" pairs of a scenario prefix in a fixed
+// buffer.  The one place key bytes are written.
 class KeyBuilder {
  public:
   KeyBuilder& field(std::string_view name, double v) {
-    return field(name, quantize_token(v));
-  }
-  KeyBuilder& field(std::string_view name, int v) {
-    return field(name, std::to_string(v));
-  }
-  KeyBuilder& field(std::string_view name, std::string_view token) {
-    canonical_.append(name);
-    canonical_.push_back('=');
-    canonical_.append(token);
-    canonical_.push_back(';');
+    begin(name);
+    end_ = quantize(v, end_);
+    *end_++ = ';';
     return *this;
   }
-  QueryKey build() && {
-    QueryKey key;
-    key.hash = fnv1a64(canonical_);
-    key.canonical = std::move(canonical_);
-    return key;
+  KeyBuilder& field(std::string_view name, int v) {
+    begin(name);
+    end_ = std::to_chars(end_, end_ + kMaxToken, v).ptr;
+    *end_++ = ';';
+    return *this;
+  }
+
+  std::string_view view() const {
+    return std::string_view(buf_, static_cast<std::size_t>(end_ - buf_));
   }
 
  private:
-  std::string canonical_;
+  void begin(std::string_view name) {
+    // The prefix's fields are a fixed set of ~25 short names (~650 bytes
+    // of key), so this bound only trips if that set grows past the buffer.
+    EDB_ASSERT(name.size() + kMaxToken + 2 <=
+                   static_cast<std::size_t>(buf_ + sizeof buf_ - end_),
+               "scenario key prefix overflows its buffer");
+    std::memcpy(end_, name.data(), name.size());
+    end_ += name.size();
+    *end_++ = '=';
+  }
+
+  char buf_[1024];
+  char* end_ = buf_;
 };
 
 void append_context(KeyBuilder& b, const mac::ModelContext& ctx) {
@@ -66,18 +154,9 @@ void append_context(KeyBuilder& b, const mac::ModelContext& ctx) {
       .field("model_version", static_cast<int>(ctx.model_version));
 }
 
-void append_scenario(KeyBuilder& b, const core::Scenario& s,
-                     const QueryOptions& opts) {
-  append_context(b, s.context);
-  b.field("req.e_budget", s.requirements.e_budget)
-      .field("req.l_max", s.requirements.l_max)
-      .field("opts.alpha", opts.alpha);
-}
-
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::string_view s, std::uint64_t h) {
   for (char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;
@@ -86,15 +165,8 @@ std::uint64_t fnv1a64(std::string_view s) {
 }
 
 std::string quantize_token(double v) {
-  if (v == 0.0) v = 0.0;  // fold -0 into +0
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9e", v);
-  // Keys may be persisted across processes, so the canonical form must
-  // not depend on the host's LC_NUMERIC decimal point.
-  for (char* c = buf; *c; ++c) {
-    if (*c == ',') *c = '.';
-  }
-  return buf;
+  char buf[kMaxToken];
+  return std::string(buf, quantize(v, buf));
 }
 
 Expected<std::vector<std::string>> canonical_protocol_set(
@@ -119,32 +191,62 @@ Expected<std::vector<std::string>> canonical_protocol_set(
   return out;
 }
 
-QueryKey context_key(const mac::ModelContext& ctx) {
+ScenarioKeys::ScenarioKeys(const core::Scenario& scenario,
+                           const QueryOptions& opts) {
   KeyBuilder b;
-  append_context(b, ctx);
-  return std::move(b).build();
+  append_context(b, scenario.context);
+  context_size_ = b.view().size();
+  b.field("req.e_budget", scenario.requirements.e_budget)
+      .field("req.l_max", scenario.requirements.l_max)
+      .field("opts.alpha", opts.alpha);
+  prefix_ = b.view();
+  prefix_hash_ = fnv1a64(prefix_);
 }
 
-QueryKey protocol_key(const core::Scenario& scenario,
-                      std::string_view protocol, const QueryOptions& opts) {
-  KeyBuilder b;
-  append_scenario(b, scenario, opts);
-  b.field("protocol", protocol);
-  return std::move(b).build();
+QueryKey ScenarioKeys::finish(std::string_view name,
+                              std::string_view token) const {
+  QueryKey key;
+  // Exact fit: cache entries keep this string for their lifetime.
+  key.canonical.reserve(prefix_.size() + name.size() + token.size() + 2);
+  key.canonical.append(prefix_).append(name).append(1, '=').append(token)
+      .append(1, ';');
+  key.hash = fnv1a64(std::string_view(key.canonical).substr(prefix_.size()),
+                     prefix_hash_);
+  return key;
 }
 
-QueryKey query_key(const core::Scenario& scenario,
-                   const std::vector<std::string>& canonical_protocols,
-                   const QueryOptions& opts) {
-  KeyBuilder b;
-  append_scenario(b, scenario, opts);
+QueryKey ScenarioKeys::protocol_key(std::string_view protocol) const {
+  return finish("protocol", protocol);
+}
+
+QueryKey ScenarioKeys::query_key(
+    const std::vector<std::string>& canonical_protocols) const {
   std::string set;
   for (const auto& p : canonical_protocols) {
     if (!set.empty()) set.push_back(',');
     set.append(p);
   }
-  b.field("protocols", set);
-  return std::move(b).build();
+  return finish("protocols", set);
+}
+
+QueryKey context_key(const mac::ModelContext& ctx) {
+  KeyBuilder b;
+  append_context(b, ctx);
+  QueryKey key;
+  key.canonical = b.view();
+  key.hash = fnv1a64(key.canonical);
+  return key;
+}
+
+QueryKey protocol_key(const core::Scenario& scenario,
+                      std::string_view protocol, const QueryOptions& opts) {
+  return ScenarioKeys(scenario, opts).protocol_key(protocol);
+}
+
+QueryKey query_key(const core::Scenario& scenario,
+                   const std::vector<std::string>& canonical_protocols,
+                   const QueryOptions& opts) {
+  return ScenarioKeys(scenario, opts).query_key(canonical_protocols);
 }
 
 }  // namespace edb::service

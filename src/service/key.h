@@ -4,10 +4,11 @@
 // the same thing produce the same key.  Canonicalization rules
 // (DESIGN.md §4):
 //
-//   - every double is quantized to 10 significant digits ("%.9e"), so
-//     float noise from parsing or arithmetic (~1e-12 relative) collides
-//     while any value-affecting difference (the paper's grids step by
-//     whole percents) survives;
+//   - every double is quantized to 10 significant digits
+//     (std::to_chars scientific, precision 9 — the same bytes "%.9e"
+//     prints), so float noise from parsing or arithmetic (~1e-12
+//     relative) collides while any value-affecting difference (the
+//     paper's grids step by whole percents) survives;
 //   - protocol names resolve through the registry's spelling rules
 //     ("xmac" == "X-MAC") and protocol *sets* are sorted and deduped, so
 //     order and spelling cannot split the cache;
@@ -20,21 +21,27 @@
 // tables; the string discriminates exact equality, so a 64-bit collision
 // can never alias two different queries to one cached result.
 //
+// Every key of a query shares one prefix: the deployment fields (which
+// alone form the context key), then requirements and alpha.  ScenarioKeys
+// formats and hashes that prefix once; the whole-query key and each
+// per-protocol key append their last field and continue the prefix's
+// FNV-1a state.  The free functions below are thin wrappers over the
+// same builder, so there is exactly one way a key's bytes are produced.
+//
 // Guarantees: canonicalization is total and deterministic — the same
 // scenario/options/protocol inputs produce the same key on every
-// platform, run and thread (FNV-1a and "%.9e" quantization are exact
-// integer/decimal procedures with no libm dependence), so keys may be
-// logged, persisted and compared across processes whose numeric locale
-// uses a '.' or ',' decimal point (',' is normalised; processes that
-// install an exotic LC_NUMERIC separator are on their own).  Two keys
+// platform, run, thread and locale (FNV-1a and to_chars quantization are
+// exact integer/decimal procedures with no libm or locale dependence), so
+// keys may be logged, persisted and compared across processes.  Two keys
 // are equal iff their canonical strings are equal; the hash is derived
 // and never trusted alone.
 //
 // Thread-safety: every function here is a pure function of its
 // arguments — no shared or global state — and safe to call concurrently
-// from any thread.
+// from any thread, and so are ScenarioKeys' const members.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -58,6 +65,23 @@ struct QueryOptions {
   long long eval_budget = 0;
 };
 
+// A non-owning view of a key for hash-table indexes: buckets by the
+// precomputed hash (no pass over the canonical bytes), and compares the
+// canonical bytes for equality.  The viewed string must outlive it.
+struct KeyRef {
+  std::uint64_t hash = 0;
+  std::string_view canonical;
+
+  bool operator==(const KeyRef& o) const {
+    return hash == o.hash && canonical == o.canonical;
+  }
+  struct Hash {
+    std::size_t operator()(const KeyRef& k) const noexcept {
+      return static_cast<std::size_t>(k.hash);
+    }
+  };
+};
+
 struct QueryKey {
   std::uint64_t hash = 0;
   std::string canonical;
@@ -66,13 +90,18 @@ struct QueryKey {
     return hash == o.hash && canonical == o.canonical;
   }
   bool operator!=(const QueryKey& o) const { return !(*this == o); }
+  KeyRef ref() const { return KeyRef{hash, canonical}; }
 };
 
-// FNV-1a over the canonical form — stable across platforms and runs (keys
-// may be logged or persisted).
-std::uint64_t fnv1a64(std::string_view s);
+inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 
-// The quantization rule, exposed for tests: "%.9e" with -0 normalised.
+// FNV-1a over the canonical form — stable across platforms and runs (keys
+// may be logged or persisted).  `h` continues an earlier hash: the hash
+// of a + b is fnv1a64(b, fnv1a64(a)).
+std::uint64_t fnv1a64(std::string_view s, std::uint64_t h = kFnv1aOffset);
+
+// The quantization rule, exposed for tests: to_chars scientific with
+// precision 9 (byte-equal to "%.9e") after folding -0 into +0.
 std::string quantize_token(double v);
 
 // Resolves each name through the registry's spelling rules to its
@@ -80,6 +109,32 @@ std::string quantize_token(double v);
 // paper's three protocols.  kNotFound on an unknown protocol.
 Expected<std::vector<std::string>> canonical_protocol_set(
     const std::vector<std::string>& protocols);
+
+// Every key of one query, from one formatting pass over its scenario
+// prefix.  protocol_key and query_key below build one of these and take a
+// single key from it; context_key runs the same builder over the
+// deployment fields alone.
+class ScenarioKeys {
+ public:
+  ScenarioKeys() = default;
+  ScenarioKeys(const core::Scenario& scenario, const QueryOptions& opts);
+
+  // The deployment fields alone: context_key's canonical string.
+  std::string_view context() const {
+    return std::string_view(prefix_).substr(0, context_size_);
+  }
+  // `protocol` must already be a registered display name.
+  QueryKey protocol_key(std::string_view protocol) const;
+  QueryKey query_key(
+      const std::vector<std::string>& canonical_protocols) const;
+
+ private:
+  QueryKey finish(std::string_view name, std::string_view token) const;
+
+  std::string prefix_;  // deployment, then requirements and alpha
+  std::size_t context_size_ = 0;
+  std::uint64_t prefix_hash_ = kFnv1aOffset;
+};
 
 // Key over the deployment only (radio, packet, ring, rates) — what a MAC
 // model is built from.  The planner uses it to share one model across

@@ -1,6 +1,7 @@
 #include "service/planner.h"
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -26,6 +27,7 @@ struct Miss {
   QueryKey key;
   std::string protocol;
   const TuningQuery* query = nullptr;  // representative (canonical twin)
+  std::string_view context;  // the representative's context-key bytes
   std::vector<std::pair<std::size_t, std::size_t>> sinks;
 };
 
@@ -63,10 +65,14 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
   std::vector<bool> failed(queries.size(), false);
 
   // Stage 1+2: resolve keys, drain the cache, coalesce in-batch repeats.
-  std::vector<Miss> misses;
-  std::unordered_map<std::string, std::size_t> miss_index;
+  // Each query's keys come from one formatting pass over its scenario
+  // prefix (service/key.h); `scenario_keys` outlives the misses that view
+  // it.  A deque, because miss_index views each miss's own key string.
+  std::vector<ScenarioKeys> scenario_keys(queries.size());
+  std::deque<Miss> misses;
   {
     EDB_SPAN("service.plan.resolve");
+    std::unordered_map<KeyRef, std::size_t, KeyRef::Hash> miss_index;
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
       const TuningQuery& q = queries[qi];
       auto valid = q.scenario.validate();
@@ -89,7 +95,9 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
         failed[qi] = true;
         continue;
       }
-      partial[qi].key = query_key(q.scenario, *protocols, q.options);
+      const ScenarioKeys& keys = scenario_keys[qi] =
+          ScenarioKeys(q.scenario, q.options);
+      partial[qi].key = keys.query_key(*protocols);
       // "service.dispatch" injection site: request processing itself,
       // keyed on the whole-query canonical hash (a stable identity, so
       // the same query faults identically at any thread count or arrival
@@ -121,7 +129,7 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
       partial[qi].per_protocol.resize(protocols->size());
       for (std::size_t pi = 0; pi < protocols->size(); ++pi) {
         const std::string& name = (*protocols)[pi];
-        const QueryKey key = protocol_key(q.scenario, name, q.options);
+        QueryKey key = keys.protocol_key(name);
         ++stats_.protocol_queries;
         // "cache.lookup" injection site: a fired fault suppresses this
         // attempt's lookup (the entry may exist, but the attempt cannot
@@ -143,14 +151,15 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
           partial[qi].per_protocol[pi] = std::move(*cached);
           continue;
         }
-        const auto it = miss_index.find(key.canonical);
+        const auto it = miss_index.find(key.ref());
         if (it != miss_index.end()) {
           ++stats_.coalesced;
           misses[it->second].sinks.emplace_back(qi, pi);
           continue;
         }
-        miss_index.emplace(key.canonical, misses.size());
-        misses.push_back(Miss{key, name, &q, {{qi, pi}}});
+        misses.push_back(
+            Miss{std::move(key), name, &q, keys.context(), {{qi, pi}}});
+        miss_index.emplace(misses.back().key.ref(), misses.size() - 1);
       }
     }
   }
@@ -164,8 +173,8 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
     std::vector<core::PointQuery> points;
     points.reserve(misses.size());
     for (const Miss& m : misses) {
-      const std::string model_key =
-          context_key(m.query->scenario.context).canonical + m.protocol;
+      std::string model_key(m.context);
+      model_key += m.protocol;
       auto it = model_index.find(model_key);
       if (it == model_index.end()) {
         // The protocol name came out of the registry, so this cannot fail.
@@ -264,7 +273,7 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
 
       if (quality == ResultQuality::kFull &&
           (po.feasible() || !is_transient(po.infeasible_code))) {
-        cache_.put(misses[mi].key, po);
+        cache_.put(std::move(misses[mi].key), po);
       }
       for (const auto& [qi, pi] : misses[mi].sinks) {
         partial[qi].per_protocol[pi] = po;

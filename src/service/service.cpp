@@ -112,7 +112,7 @@ struct TuningService::Impl {
                     -static_cast<std::int64_t>(batch.size()));
       std::vector<TuningQuery> queries;
       queries.reserve(batch.size());
-      for (const Pending& p : batch) queries.push_back(p.query);
+      for (Pending& p : batch) queries.push_back(std::move(p.query));
       auto results = core.serve(queries);
 
       const auto now = std::chrono::steady_clock::now();

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,6 +197,40 @@ TEST(ServerSocket, MalformedFrameGetsFatalErrorAndClose) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(srv.stats().connections, 0u);
+  srv.shutdown(/*drain=*/true);
+}
+
+TEST(ServerSocket, NonFiniteFieldsGetNonFatalErrorAndServingContinues) {
+  TuningServer srv(test_options(1));
+  ASSERT_TRUE(srv.start().ok());
+  WireClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", srv.port()).ok());
+
+  std::uint64_t seq = 0;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (int field = 0; field < 4; ++field) {
+      service::TuningQuery q = test_query(4.0);
+      core::Scenario& s = q.scenario;
+      double* target[] = {&s.requirements.l_max, &s.requirements.e_budget,
+                          &s.context.fs, &s.context.energy_epoch};
+      *target[field] = bad;
+      client.queue_query(q, ++seq);
+      ASSERT_TRUE(client.flush().ok());
+      auto resp = client.next_response();
+      ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+      EXPECT_EQ(resp->seq, seq);
+      ASSERT_TRUE(resp->error.has_value()) << "field " << field;
+      EXPECT_FALSE(resp->error->fatal);
+      EXPECT_EQ(resp->error->code, ErrorCode::kInvalidArgument);
+    }
+  }
+  // Same connection, same daemon: still serving.
+  auto ok = client.query(test_query(4.0), ++seq);
+  ASSERT_TRUE(ok.ok()) << ok.error().to_string();
+  EXPECT_TRUE(ok->per_protocol[0].feasible());
+  EXPECT_EQ(srv.stats().protocol_errors, 0u);
   srv.shutdown(/*drain=*/true);
 }
 

@@ -148,6 +148,21 @@ TEST(ShardedCacheTest, StatsAreDeltasSinceConstruction) {
   EXPECT_EQ(fresh.stats().negative_hits, 0u);
 }
 
+TEST(ShardedCacheTest, HashCollisionWithDifferentCanonicalMisses) {
+  // Same 64-bit hash (same shard, same bucket), different canonical
+  // bytes: the index must compare the strings, never trust the hash.
+  ShardedResultCache cache(8, 2);
+  QueryKey a = key_of("alpha");
+  QueryKey b = key_of("beta");
+  b.hash = a.hash;
+  cache.put(a, feasible_outcome("X-MAC", 1.0));
+  EXPECT_FALSE(cache.get(b).has_value());
+  cache.put(b, feasible_outcome("X-MAC", 2.0));
+  EXPECT_EQ(cache.get(a)->outcome->nbs.energy, 1.0);
+  EXPECT_EQ(cache.get(b)->outcome->nbs.energy, 2.0);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
 TEST(ShardedCacheTest, ConcurrentHammer) {
   ShardedResultCache cache(64, 8);
   constexpr int kThreads = 4;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "core/sweep.h"
@@ -115,6 +117,41 @@ TEST_F(PlannerTest, PerQueryErrorsDoNotFailTheBatch) {
   EXPECT_FALSE(results[2].ok());
   EXPECT_FALSE(results[3].ok());
   EXPECT_EQ(results[3].error().code, ErrorCode::kInvalidArgument);
+}
+
+// Every numeric request field a NaN or infinity can reach; each must be
+// refused as the caller's error, never reach a solver assertion, never be
+// answered as feasible.
+std::vector<TuningQuery> non_finite_queries() {
+  std::vector<TuningQuery> out;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (int field = 0; field < 4; ++field) {
+      TuningQuery q = xmac_query(4.0);
+      core::Scenario& s = q.scenario;
+      double* target[] = {&s.requirements.l_max, &s.requirements.e_budget,
+                          &s.context.fs, &s.context.energy_epoch};
+      *target[field] = bad;
+      out.push_back(q);
+    }
+  }
+  return out;
+}
+
+TEST_F(PlannerTest, NonFiniteRequestFieldsAreInvalidArguments) {
+  std::vector<TuningQuery> batch = non_finite_queries();
+  const std::size_t bad = batch.size();
+  batch.push_back(xmac_query(4.0));
+  auto results = planner_.run(batch);
+  ASSERT_EQ(results.size(), bad + 1);
+  for (std::size_t i = 0; i < bad; ++i) {
+    ASSERT_FALSE(results[i].ok()) << "query " << i;
+    EXPECT_EQ(results[i].error().code, ErrorCode::kInvalidArgument);
+  }
+  ASSERT_TRUE(results[bad].ok());
+  EXPECT_TRUE(results[bad]->per_protocol[0].feasible());
+  EXPECT_EQ(planner_.stats().solved, 1u);
 }
 
 TEST_F(PlannerTest, RecommendationMaximisesEnergyHeadroom) {
