@@ -9,78 +9,14 @@
 namespace edb::service {
 namespace {
 
-// Powers of ten that are exact doubles.
-constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
-                             1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
-                             1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
-
 // A quantized token is at most "-d.ddddddddde-ddd".
 constexpr std::size_t kMaxToken = 24;
-
-char* put2(char* p, std::uint32_t two_digits) {
-  p[0] = static_cast<char>('0' + two_digits / 10);
-  p[1] = static_cast<char>('0' + two_digits % 10);
-  return p + 2;
-}
-
-// The "%.9e" token of `v` for the magnitudes deployments are made of,
-// written to `out`; nullptr when this shortcut cannot prove its answer
-// and the caller must take the exact to_chars path.
-//
-// With e the decimal exponent, x = |v| * 10^(9 - e) lies in [1e9, 1e10)
-// and the ten significant digits are x rounded to an integer.  Scaling by
-// an exact power of ten rounds once, so x is within half an ulp (< 1e-6)
-// of the exact product; rounding x is therefore the exact rounding unless
-// x's fraction is within 1e-4 of one half — near-ties fall back, and a
-// printf-style tie rule is never needed here.
-char* quantize_fast(double v, char* out) {
-  const double a = v < 0 ? -v : v;
-  if (!(a >= 1e-12 && a < 1e22)) return nullptr;  // also 0, NaN, inf
-  std::uint64_t bits;
-  std::memcpy(&bits, &a, sizeof bits);
-  const int e2 = static_cast<int>(bits >> 52) - 1023;  // a is normal
-  // floor(e2 * log10(2)): the decimal exponent or one below it.
-  int e = (e2 * 78913) >> 18;
-  const auto scaled = [a](int exp10) {
-    const int p = 9 - exp10;
-    return p >= 0 ? a * kPow10[p] : a / kPow10[-p];
-  };
-  double x = scaled(e);
-  if (x >= 1e10) x = scaled(++e);
-  if (!(x >= 1e9 && x < 1e10)) return nullptr;
-  std::int64_t n = static_cast<std::int64_t>(x);
-  const double frac = x - static_cast<double>(n);
-  if (frac > 0.5 - 1e-4 && frac < 0.5 + 1e-4) return nullptr;
-  if (frac > 0.5) ++n;
-  if (n == 10000000000LL) {  // rounded up into the next decade
-    n = 1000000000LL;
-    ++e;
-  }
-  char* p = out;
-  if (v < 0) *p++ = '-';
-  const auto lead = static_cast<std::uint32_t>(n / 1000000000LL);
-  const auto rest = static_cast<std::uint32_t>(n - lead * 1000000000LL);
-  *p++ = static_cast<char>('0' + lead);
-  *p++ = '.';
-  // The nine fraction digits as 1 + 4 x 2, from independent quotients.
-  const std::uint32_t hi = rest / 10000;  // five digits
-  const std::uint32_t lo = rest % 10000;  // four digits
-  *p++ = static_cast<char>('0' + hi / 10000);
-  p = put2(p, hi / 100 % 100);
-  p = put2(p, hi % 100);
-  p = put2(p, lo / 100);
-  p = put2(p, lo % 100);
-  *p++ = 'e';
-  *p++ = e < 0 ? '-' : '+';
-  return put2(p, static_cast<std::uint32_t>(e < 0 ? -e : e));  // e <= 22
-}
 
 // The quantized token of `v` into `out` (room for kMaxToken); returns its
 // end.  to_chars is locale-independent and prints exactly what "%.9e"
 // does.
 char* quantize(double v, char* out) {
   if (v == 0.0) v = 0.0;  // fold -0 into +0
-  if (char* end = quantize_fast(v, out)) return end;
   return std::to_chars(out, out + kMaxToken, v,
                        std::chars_format::scientific, 9)
       .ptr;

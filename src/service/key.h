@@ -116,7 +116,6 @@ Expected<std::vector<std::string>> canonical_protocol_set(
 // deployment fields alone.
 class ScenarioKeys {
  public:
-  ScenarioKeys() = default;
   ScenarioKeys(const core::Scenario& scenario, const QueryOptions& opts);
 
   // The deployment fields alone: context_key's canonical string.

@@ -27,7 +27,7 @@ struct Miss {
   QueryKey key;
   std::string protocol;
   const TuningQuery* query = nullptr;  // representative (canonical twin)
-  std::string_view context;  // the representative's context-key bytes
+  std::string model_key;  // context-key bytes + protocol: one model each
   std::vector<std::pair<std::size_t, std::size_t>> sinks;
 };
 
@@ -66,9 +66,8 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
 
   // Stage 1+2: resolve keys, drain the cache, coalesce in-batch repeats.
   // Each query's keys come from one formatting pass over its scenario
-  // prefix (service/key.h); `scenario_keys` outlives the misses that view
-  // it.  A deque, because miss_index views each miss's own key string.
-  std::vector<ScenarioKeys> scenario_keys(queries.size());
+  // prefix (service/key.h).  A deque, because miss_index views each
+  // miss's own key string.
   std::deque<Miss> misses;
   {
     EDB_SPAN("service.plan.resolve");
@@ -95,8 +94,7 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
         failed[qi] = true;
         continue;
       }
-      const ScenarioKeys& keys = scenario_keys[qi] =
-          ScenarioKeys(q.scenario, q.options);
+      const ScenarioKeys keys(q.scenario, q.options);
       partial[qi].key = keys.query_key(*protocols);
       // "service.dispatch" injection site: request processing itself,
       // keyed on the whole-query canonical hash (a stable identity, so
@@ -157,8 +155,9 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
           misses[it->second].sinks.emplace_back(qi, pi);
           continue;
         }
-        misses.push_back(
-            Miss{std::move(key), name, &q, keys.context(), {{qi, pi}}});
+        misses.push_back(Miss{std::move(key), name, &q,
+                              std::string(keys.context()) + name,
+                              {{qi, pi}}});
         miss_index.emplace(misses.back().key.ref(), misses.size() - 1);
       }
     }
@@ -173,14 +172,12 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
     std::vector<core::PointQuery> points;
     points.reserve(misses.size());
     for (const Miss& m : misses) {
-      std::string model_key(m.context);
-      model_key += m.protocol;
-      auto it = model_index.find(model_key);
+      auto it = model_index.find(m.model_key);
       if (it == model_index.end()) {
         // The protocol name came out of the registry, so this cannot fail.
         models.push_back(
             mac::make_model(m.protocol, m.query->scenario.context).take());
-        it = model_index.emplace(model_key, models.size() - 1).first;
+        it = model_index.emplace(m.model_key, models.size() - 1).first;
       }
       points.push_back(core::PointQuery{
           models[it->second].get(), m.query->scenario.requirements,

@@ -177,9 +177,9 @@ TEST(KeyIdentityTest, QuantizeMatchesPrintfNearDecimals) {
 }
 
 TEST(KeyIdentityTest, QuantizeMatchesPrintfAcrossDecadesAndNearTies) {
-  // Deployment-sized magnitudes, where tokens take the scaled-integer
-  // shortcut, plus values within an ulp of a 10th-digit tie and of a
-  // decade boundary, where it must hand over to the exact path.
+  // Deployment-sized magnitudes, plus values within an ulp of a
+  // 10th-digit tie and of a decade boundary, where rounding disagreements
+  // would show first.
   std::mt19937_64 rng(0x7469ULL);
   std::uniform_real_distribution<double> mantissa(1.0, 10.0);
   for (int i = 0; i < 100'000; ++i) {
