@@ -1,22 +1,30 @@
 #include "net/radio.h"
 
+#include <cmath>
+
 namespace edb::net {
 
 Expected<bool> RadioParams::validate() const {
-  if (p_tx <= 0 || p_rx <= 0 || p_sleep < 0) {
+  // Written so NaN and ±inf fail too: every field can arrive in a request,
+  // and a NaN passes any `x <= 0` test.
+  auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  auto non_negative = [](double x) { return std::isfinite(x) && x >= 0.0; };
+  if (!(positive(p_tx) && positive(p_rx) && non_negative(p_sleep))) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "radio powers must be positive (sleep >= 0)");
+                      "radio powers must be positive and finite (sleep >= 0)");
   }
   if (p_sleep >= p_rx || p_sleep >= p_tx) {
     return make_error(ErrorCode::kInvalidArgument,
                       "sleep power must be below active powers");
   }
-  if (bitrate <= 0) {
-    return make_error(ErrorCode::kInvalidArgument, "bitrate must be positive");
-  }
-  if (t_startup < 0 || t_turnaround < 0 || t_cca < 0) {
+  if (!positive(bitrate)) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "timing overheads must be non-negative");
+                      "bitrate must be positive and finite");
+  }
+  if (!(non_negative(t_startup) && non_negative(t_turnaround) &&
+        non_negative(t_cca))) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "timing overheads must be non-negative and finite");
   }
   return true;
 }

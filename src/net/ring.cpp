@@ -1,6 +1,7 @@
 #include "net/ring.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace edb::net {
 
@@ -8,9 +9,11 @@ Expected<bool> RingTopology::validate() const {
   if (depth < 1) {
     return make_error(ErrorCode::kInvalidArgument, "ring depth must be >= 1");
   }
-  if (density < 1) {
+  // Written so NaN and ±inf fail too (see RadioParams::validate).
+  if (!(std::isfinite(density) && density >= 1.0)) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "density must be >= 1 (tree needs connectivity)");
+                      "density must be finite and >= 1 (tree needs "
+                      "connectivity)");
   }
   return true;
 }

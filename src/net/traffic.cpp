@@ -1,19 +1,22 @@
 #include "net/traffic.h"
 
+#include <cmath>
+
 namespace edb::net {
 
 Expected<bool> TrafficModel::validate() const {
-  if (fs <= 0.0) {
+  // Written so NaN and ±inf fail too (see RadioParams::validate).
+  if (!(std::isfinite(fs) && fs > 0.0)) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "sampling rate must be positive");
+                      "sampling rate must be positive and finite");
   }
-  if (jitter_frac < 0.0 || jitter_frac >= 1.0) {
+  if (!(jitter_frac >= 0.0 && jitter_frac < 1.0)) {
     return make_error(ErrorCode::kInvalidArgument,
                       "jitter fraction must be in [0, 1)");
   }
-  if (burst_factor < 1.0) {
+  if (!(std::isfinite(burst_factor) && burst_factor >= 1.0)) {
     return make_error(ErrorCode::kInvalidArgument,
-                      "burst factor must be >= 1");
+                      "burst factor must be finite and >= 1");
   }
   if (arrivals == ArrivalProcess::kBursty && burst_factor <= 1.0) {
     return make_error(ErrorCode::kInvalidArgument,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "util/error.h"
@@ -62,7 +63,18 @@ VectorResult nelder_mead_min(const Objective& f, const Box& box,
     }
   };
 
+  // The sorted simplex (each vertex's x then value) at the top of the
+  // previous and the current iteration.  One iteration is a pure function
+  // of the sorted simplex and the deterministic objective, so once the
+  // simplex repeats bit for bit every remaining iteration repeats it too:
+  // the loop has reached an exact fixed point and stops there, returning
+  // what running out the iteration budget would have returned.
+  const std::size_t stride = n + 1;
+  std::vector<double> prev(stride * stride), cur(stride * stride);
+  bool have_prev = false;
+
   bool converged = false;
+  bool fixed_point = false;
   for (int it = 0; it < opts.max_iterations; ++it) {
     std::sort(simplex.begin(), simplex.end(), by_value);
 
@@ -82,6 +94,20 @@ VectorResult nelder_mead_min(const Objective& f, const Box& box,
       converged = true;
       break;
     }
+
+    for (std::size_t v = 0; v <= n; ++v) {
+      std::copy(simplex[v].x.begin(), simplex[v].x.end(),
+                cur.begin() + static_cast<std::ptrdiff_t>(v * stride));
+      cur[v * stride + n] = simplex[v].value;
+    }
+    if (have_prev &&
+        std::memcmp(cur.data(), prev.data(), cur.size() * sizeof(double)) ==
+            0) {
+      fixed_point = true;
+      break;
+    }
+    prev.swap(cur);
+    have_prev = true;
 
     // Centroid of all but the worst vertex.
     centroid.assign(n, 0.0);
@@ -135,7 +161,9 @@ VectorResult nelder_mead_min(const Objective& f, const Box& box,
     }
   }
 
-  std::sort(simplex.begin(), simplex.end(), by_value);
+  // A fixed-point exit leaves the simplex sorted exactly as every further
+  // iteration would; re-sorting it could swap tied vertices.
+  if (!fixed_point) std::sort(simplex.begin(), simplex.end(), by_value);
   VectorResult out;
   out.x = simplex.front().x;
   out.value = simplex.front().value;

@@ -3,7 +3,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -22,11 +25,32 @@ std::uint64_t fnv1a64(std::string_view s) {
   return h;
 }
 
-// The active plan, published via atomic pointer.  Superseded plans leak:
-// installs happen at test/bench setup rate and a concurrent inject() may
-// still be reading the old plan, so freeing would need an epoch scheme
-// the use case does not justify.
+// The active plan, published via atomic pointer.  inject() announces
+// itself in g_readers before it re-loads the pointer and dereferences it,
+// so a superseded plan can be freed as soon as g_readers reads zero after
+// the plan was unpublished: any inject() that starts later re-loads the
+// pointer and never sees the old plan.  Plans superseded while an inject()
+// is in flight wait in g_retired for the next quiet install/uninstall, or
+// for process exit.
 std::atomic<const FaultPlan*> g_plan{nullptr};
+std::atomic<int> g_readers{0};
+
+struct Retired {
+  std::mutex mu;  // serializes install/uninstall
+  std::vector<std::unique_ptr<const FaultPlan>> plans;
+
+  ~Retired() { delete g_plan.exchange(nullptr); }
+};
+Retired g_retired;
+
+// Unpublishes the active plan in favour of `next` (nullptr = none) and
+// frees every retired plan no inject() can still be reading.
+void publish(const FaultPlan* next) {
+  std::lock_guard<std::mutex> lock(g_retired.mu);
+  const FaultPlan* old = g_plan.exchange(next, std::memory_order_seq_cst);
+  if (old) g_retired.plans.emplace_back(old);
+  if (g_readers.load(std::memory_order_seq_cst) == 0) g_retired.plans.clear();
+}
 
 bool parse_rate(std::string_view text, double* out) {
   char* end = nullptr;
@@ -171,11 +195,9 @@ Action FaultPlan::evaluate(std::string_view site, std::uint64_t key,
   return Action{};
 }
 
-void install(FaultPlan plan) {
-  g_plan.store(new FaultPlan(std::move(plan)), std::memory_order_release);
-}
+void install(FaultPlan plan) { publish(new FaultPlan(std::move(plan))); }
 
-void uninstall() { g_plan.store(nullptr, std::memory_order_release); }
+void uninstall() { publish(nullptr); }
 
 bool active() {
   return g_plan.load(std::memory_order_relaxed) != nullptr;
@@ -192,9 +214,12 @@ bool install_from_env() {
 
 Action inject(std::string_view site, std::uint64_t key,
               std::uint32_t attempt) {
-  const FaultPlan* plan = g_plan.load(std::memory_order_relaxed);
-  if (!plan) return Action{};
-  return plan->evaluate(site, key, attempt);
+  if (!g_plan.load(std::memory_order_relaxed)) return Action{};
+  g_readers.fetch_add(1, std::memory_order_seq_cst);
+  const FaultPlan* plan = g_plan.load(std::memory_order_seq_cst);
+  const Action action = plan ? plan->evaluate(site, key, attempt) : Action{};
+  g_readers.fetch_sub(1, std::memory_order_release);
+  return action;
 }
 
 void apply_stall(const Action& a) {

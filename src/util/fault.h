@@ -43,9 +43,10 @@
 // compiled out, and the serving benches gate that this is unmeasurable.
 //
 // Thread-safety: parse() and evaluate() are pure; install()/uninstall()
-// may race inject() freely (the active plan is published through an
-// atomic pointer; superseded plans are intentionally leaked, installs
-// are test/bench-rate events).
+// may race inject() freely.  The active plan is published through an
+// atomic pointer; a superseded plan is freed by the first install() or
+// uninstall() that finds no inject() in flight, and whatever is left is
+// freed at process exit.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +106,7 @@ class FaultPlan {
 
 // Publishes `plan` as the process-wide active plan.
 void install(FaultPlan plan);
-// Deactivates injection (the previously active plan is leaked by design).
+// Deactivates injection.
 void uninstall();
 // True when a plan is active (the inject() fast-path check).
 bool active();

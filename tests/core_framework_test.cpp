@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 
+#include "catalog/catalog.h"
 #include "mac/registry.h"
 #include "util/math.h"
 
@@ -176,6 +179,62 @@ TEST(FrameworkEdgeCases, LmacSmallBudgetAtPaperLmaxIsInfeasible) {
   auto out = game.solve();
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.error().code, ErrorCode::kInfeasible);
+}
+
+// The standing "same answers" gate for solver changes: an FNV-1a digest
+// over the bits of every descent-mode solve() answer across the builtin
+// catalog x the three paper protocols — the p1/p2/nbs parameters, E and
+// L, the Nash product and the evaluation count of each agreement, and the
+// error code and message of each infeasible solve.  A solver change that
+// keeps this digest returns bit-identical answers on the whole catalog.
+TEST(FrameworkCatalogPin, DescentAnswersAreBitIdentical) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  auto mix_double = [&mix](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix(&bits, sizeof bits);
+  };
+  auto mix_point = [&](const OperatingPoint& p) {
+    for (double x : p.x) mix_double(x);
+    mix_double(p.energy);
+    mix_double(p.latency);
+  };
+
+  const auto scenarios =
+      catalog::Catalog::builtin().expand_all(catalog::kDefaultSeed);
+  int solves = 0, infeasible = 0;
+  for (const auto& cs : scenarios) {
+    for (const char* protocol : {"X-MAC", "DMAC", "LMAC"}) {
+      auto model = mac::make_model(protocol, cs.scenario.context);
+      ASSERT_TRUE(model.ok()) << cs.id() << " " << protocol;
+      EnergyDelayGame game(**model, cs.scenario.requirements);
+      const auto out = game.solve();
+      ++solves;
+      if (out.ok()) {
+        mix_point(out->p1);
+        mix_point(out->p2);
+        mix_point(out->nbs);
+        mix_double(out->nash_product);
+        const long long evals = out->stats.evaluations;
+        mix(&evals, sizeof evals);
+      } else {
+        if (out.error().code == ErrorCode::kInfeasible) ++infeasible;
+        const int code = static_cast<int>(out.error().code);
+        mix(&code, sizeof code);
+        mix(out.error().message.data(), out.error().message.size());
+      }
+    }
+  }
+  EXPECT_EQ(solves, 756);
+  EXPECT_EQ(infeasible, 101);
+  EXPECT_EQ(h, 0x5a6cb2c6c8d0643cULL) << std::hex << "digest 0x" << h;
 }
 
 }  // namespace

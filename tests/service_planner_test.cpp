@@ -127,11 +127,21 @@ std::vector<TuningQuery> non_finite_queries() {
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity(),
                            -std::numeric_limits<double>::infinity()}) {
-    for (int field = 0; field < 4; ++field) {
+    for (int field = 0; field < 20; ++field) {
       TuningQuery q = xmac_query(4.0);
       core::Scenario& s = q.scenario;
+      net::RadioParams& radio = s.context.radio;
+      net::PacketFormat& packet = s.context.packet;
       double* target[] = {&s.requirements.l_max, &s.requirements.e_budget,
-                          &s.context.fs, &s.context.energy_epoch};
+                          &s.context.fs, &s.context.energy_epoch,
+                          &radio.p_tx, &radio.p_rx, &radio.p_sleep,
+                          &radio.bitrate, &radio.t_startup,
+                          &radio.t_turnaround, &radio.t_cca,
+                          &packet.payload_bytes, &packet.header_bytes,
+                          &packet.ack_bytes, &packet.strobe_bytes,
+                          &packet.ctrl_bytes, &packet.sync_bytes,
+                          &s.context.ring.density, &s.context.jitter_frac,
+                          &s.context.burst_factor};
       *target[field] = bad;
       out.push_back(q);
     }

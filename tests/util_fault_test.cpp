@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <set>
+#include <thread>
 #include <vector>
 
 namespace edb::fault {
@@ -157,6 +159,44 @@ TEST_F(FaultTest, InstallUninstallRoundtrip) {
   EXPECT_FALSE(inject("other.site", 1).fires());
   uninstall();
   EXPECT_FALSE(active());
+  EXPECT_FALSE(inject("a.site", 1).fires());
+}
+
+// Re-install and uninstall race inject() on other threads.  Superseded
+// plans are freed while readers run, so a reader that could still see a
+// freed plan shows up as a use-after-free under the ASan preset, and a
+// plan never freed as an LSan leak at exit.  Every answer must come from
+// one of the installed plans (fail or stall at rate 1) or from no plan.
+TEST_F(FaultTest, ReinstallAndUninstallRaceInject) {
+  const FaultPlan fail = FaultPlan::parse("a.site:fail=1").take();
+  const FaultPlan stall = FaultPlan::parse("a.site:stall=1@0ms").take();
+  std::atomic<bool> stop{false};
+  std::atomic<long> bad{0}, fired{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (std::uint64_t key = t; !stop.load(std::memory_order_relaxed);
+           key += 3) {
+        const Action a = inject("a.site", key);
+        if (a.kind == Kind::kFail || a.kind == Kind::kStall) {
+          fired.fetch_add(1, std::memory_order_relaxed);
+        } else if (a.kind != Kind::kNone) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  install(fail);
+  while (fired.load() == 0) std::this_thread::yield();  // readers are live
+  for (int round = 0; round < 2000; ++round) {
+    install(fail);
+    install(stall);  // supersedes a live plan
+    if (round % 2 == 0) uninstall();
+  }
+  uninstall();
+  stop.store(true);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(bad.load(), 0);
   EXPECT_FALSE(inject("a.site", 1).fires());
 }
 
